@@ -666,6 +666,27 @@ fn validate(quick: bool) -> Result<(), BenchError> {
     Ok(())
 }
 
+/// The one wall-clock reader of the `bench-solver` and `bench-serve`
+/// experiments. Their timings go only to `BENCH_solver.json` and
+/// `BENCH_serve.json`, perf artifacts excluded from byte-determinism.
+struct Stopwatch(std::time::Instant);
+
+impl Stopwatch {
+    fn start() -> Self {
+        Stopwatch(std::time::Instant::now())
+    }
+
+    /// Milliseconds since [`Stopwatch::start`].
+    fn ms(&self) -> f64 {
+        self.0.elapsed().as_secs_f64() * 1e3
+    }
+
+    /// Microseconds since [`Stopwatch::start`].
+    fn us(&self) -> f64 {
+        self.0.elapsed().as_secs_f64() * 1e6
+    }
+}
+
 /// Machine-readable solver benchmark: the Table II NE-interval scan at
 /// n = 10, timed as the original serial cold damped iteration versus the
 /// parallel + warm-chained + accelerated scan, plus the canonicalizing
@@ -682,7 +703,6 @@ fn bench_solver(quick: bool) -> Result<(), BenchError> {
     use macgame_dcf::parallel::{resolve_threads, solve_sweep_cached};
     use macgame_dcf::utility::all_utilities;
     use std::hint::black_box;
-    use std::time::Instant;
 
     #[derive(serde::Serialize)]
     struct SolverBench {
@@ -715,7 +735,7 @@ fn bench_solver(quick: bool) -> Result<(), BenchError> {
     let damped = SolveOptions { accelerate: false, ..SolveOptions::default() };
     let mut serial_cold_sweeps = 0usize;
     let mut deviation_profiles = 0usize;
-    let t0 = Instant::now();
+    let t0 = Stopwatch::start();
     for w in lo..=hi {
         let at_w = symmetric_stage(&game, w)?;
         if at_w < 0.0 {
@@ -745,13 +765,13 @@ fn bench_solver(quick: bool) -> Result<(), BenchError> {
             }
         }
     }
-    let serial_cold_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let serial_cold_ms = t0.ms();
 
     // Current path: memoized symmetric stages, warm-chained accelerated
     // deviation sweeps, windows fanned over the worker pool.
-    let t1 = Instant::now();
+    let t1 = Stopwatch::start();
     let checks = scan_ne_interval(&game, lo, hi, 1, DEFAULT_NE_EPSILON, 0)?;
-    let scan_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let scan_ms = t1.ms();
     let ne_count = checks.iter().filter(|c| c.is_ne).count();
 
     // The cache on a revisit of the scan's heterogeneous profiles: repeated
@@ -767,9 +787,9 @@ fn bench_solver(quick: bool) -> Result<(), BenchError> {
         .collect();
     let cache = SolveCache::new(*game.params(), SolveOptions::default());
     solve_sweep_cached(&profiles, &cache, 0)?;
-    let t2 = Instant::now();
+    let t2 = Stopwatch::start();
     solve_sweep_cached(&profiles, &cache, 0)?;
-    let hot_cache_ms = t2.elapsed().as_secs_f64() * 1e3;
+    let hot_cache_ms = t2.ms();
 
     let speedup = serial_cold_ms / scan_ms;
     let body = vec![
@@ -853,9 +873,9 @@ fn bench_solver(quick: bool) -> Result<(), BenchError> {
                 ClassProfile::new(vec![w], vec![pop])
             })
             .collect::<Result<_, _>>()?;
-        let t = Instant::now();
+        let t = Stopwatch::start();
         let band_eqs = solve_class_sweep(&band, game.params(), options, 0, None)?;
-        let band_us_per_solve = t.elapsed().as_secs_f64() * 1e6 / band.len() as f64;
+        let band_us_per_solve = t.us() / band.len() as f64;
         for (profile, eq) in band.iter().zip(&band_eqs) {
             black_box(class_slot_stats(profile, &eq.taus, game.params()));
         }
@@ -876,9 +896,9 @@ fn bench_solver(quick: bool) -> Result<(), BenchError> {
             .iter()
             .map(|&w| ClassProfile::new(vec![w, field_w], vec![1, pop - 1]))
             .collect::<Result<_, _>>()?;
-        let t = Instant::now();
+        let t = Stopwatch::start();
         let dev_eqs = solve_class_sweep(&deviants, game.params(), options, 0, None)?;
-        let deviant_us_per_solve = t.elapsed().as_secs_f64() * 1e6 / deviants.len() as f64;
+        let deviant_us_per_solve = t.us() / deviants.len() as f64;
         for (profile, eq) in deviants.iter().zip(&dev_eqs) {
             black_box(class_utilities(
                 profile,
@@ -897,9 +917,9 @@ fn bench_solver(quick: bool) -> Result<(), BenchError> {
             vec![(field_w / 4).max(1), field_w, field_w.saturating_mul(4).min(MAX_CW)],
             vec![third, third, pop - 2 * third],
         )?;
-        let t = Instant::now();
+        let t = Stopwatch::start();
         let eq3 = solve_classes(&three, game.params(), options)?;
-        let three_class_us = t.elapsed().as_secs_f64() * 1e6;
+        let three_class_us = t.us();
         black_box(class_slot_stats(&three, &eq3.taus, game.params()));
 
         // Dense node-level reference on a handful of the 2-class profiles,
@@ -908,11 +928,11 @@ fn bench_solver(quick: bool) -> Result<(), BenchError> {
             if pop <= DENSE_CUTOFF {
                 let sample: Vec<Vec<u32>> =
                     deviants.iter().take(4).map(ClassProfile::expand_windows).collect();
-                let t = Instant::now();
+                let t = Stopwatch::start();
                 for windows in &sample {
                     black_box(solve_dense(windows, game.params(), options)?);
                 }
-                let us = t.elapsed().as_secs_f64() * 1e6 / sample.len() as f64;
+                let us = t.us() / sample.len() as f64;
                 (Some(sample.len()), Some(us), Some(us / deviant_us_per_solve))
             } else {
                 (None, None, None)
@@ -983,7 +1003,6 @@ fn bench_solver(quick: bool) -> Result<(), BenchError> {
 fn bench_serve(quick: bool) -> Result<(), BenchError> {
     use macgame_core::queries::Query;
     use macgame_serve::{EngineConfig, ServeHarness};
-    use std::time::Instant;
 
     #[derive(serde::Serialize)]
     struct ServeBench {
@@ -1030,19 +1049,19 @@ fn bench_serve(quick: bool) -> Result<(), BenchError> {
 
     // Cold pass: every unique query is a reply-cache miss and solves
     // through the class solver.
-    let t0 = Instant::now();
+    let t0 = Stopwatch::start();
     let cold_bytes = harness.reply_bytes(&batch)?;
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let cold_ms = t0.ms();
     let cold_qps = batch_size as f64 / (cold_ms / 1e3);
 
     // Hot passes: all hits; this is the throughput the service sustains
     // on a steady query mix.
-    let t1 = Instant::now();
+    let t1 = Stopwatch::start();
     for _ in 0..hot_batches {
         let bytes = harness.reply_bytes(&batch)?;
         debug_assert_eq!(bytes, cold_bytes);
     }
-    let hot_ms = t1.elapsed().as_secs_f64() * 1e3;
+    let hot_ms = t1.ms();
     let hot_qps = (hot_batches * batch_size) as f64 / (hot_ms / 1e3);
 
     // Single-query round-trip latency on the hot cache.
@@ -1050,9 +1069,9 @@ fn bench_serve(quick: bool) -> Result<(), BenchError> {
     let mut samples_us = Vec::with_capacity(latency_roundtrips);
     for i in 0..latency_roundtrips {
         let single = std::slice::from_ref(&pool[i % unique]);
-        let t = Instant::now();
+        let t = Stopwatch::start();
         let bytes = harness.reply_bytes(single)?;
-        samples_us.push(t.elapsed().as_secs_f64() * 1e6);
+        samples_us.push(t.us());
         debug_assert!(!bytes.is_empty());
     }
     samples_us.sort_by(f64::total_cmp);

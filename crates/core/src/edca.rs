@@ -17,10 +17,8 @@
 //! classes, so lattice and plane scans pay `O(k)` per distinct profile
 //! regardless of the player count.
 
-use std::collections::HashMap;
-
 use macgame_dcf::fixedpoint::SolveOptions;
-use macgame_dcf::{edca_utilities, solve_edca, EdcaProfile, EdcaTuple};
+use macgame_dcf::{edca_utilities, solve_edca, EdcaProfile, EdcaTuple, Memo, MemoNames};
 use serde::{Deserialize, Serialize};
 
 use crate::deviation::DeviatorStage;
@@ -73,11 +71,15 @@ impl EdcaAxis {
 /// profile: the product-space analog of [`crate::deviation::StageMemo`].
 /// Lattice and plane scans revisit the same one-deviator profiles many
 /// times; each distinct profile is solved exactly once.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EdcaStageMemo {
-    rates: HashMap<EdcaProfile, Vec<f64>>,
-    hits: u64,
-    misses: u64,
+    rates: Memo<EdcaProfile, Vec<f64>>,
+}
+
+impl Default for EdcaStageMemo {
+    fn default() -> Self {
+        EdcaStageMemo { rates: Memo::unbounded(MemoNames::default()) }
+    }
 }
 
 impl EdcaStageMemo {
@@ -90,31 +92,22 @@ impl EdcaStageMemo {
     /// Number of lookups answered from the memo.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.rates.hits()
     }
 
     /// Number of lookups that required a fresh solve.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.rates.misses()
     }
 
     /// Per-class stage utility rates (per µs) of `profile`, solved once
     /// and memoized.
-    fn class_rates(
-        &mut self,
-        game: &GameConfig,
-        profile: &EdcaProfile,
-    ) -> Result<Vec<f64>, GameError> {
-        if let Some(rates) = self.rates.get(profile) {
-            self.hits += 1;
-            return Ok(rates.clone());
-        }
-        self.misses += 1;
-        let eq = solve_edca(profile, game.params(), SolveOptions::default())?;
-        let rates = edca_utilities(profile, &eq, game.params(), game.utility());
-        self.rates.insert(profile.clone(), rates.clone());
-        Ok(rates)
+    fn class_rates(&self, game: &GameConfig, profile: &EdcaProfile) -> Result<Vec<f64>, GameError> {
+        self.rates.get_or_try_insert_with(profile, || {
+            let eq = solve_edca(profile, game.params(), SolveOptions::default())?;
+            Ok(edca_utilities(profile, &eq, game.params(), game.utility()))
+        })
     }
 }
 

@@ -10,14 +10,12 @@
 //!   and returns *measured* payoffs and *estimated* peer windows, i.e. the
 //!   noisy regime the GTFT tolerance parameters exist for (Section VII).
 
-use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use macgame_dcf::cache::canonicalize;
-use macgame_telemetry as telemetry;
 use macgame_dcf::fixedpoint::{solve_robust, SolveOptions};
 use macgame_dcf::utility::all_utilities;
+use macgame_dcf::{Memo, MemoNames};
 use macgame_faults::{ObservationChannel, ObservationFaults};
 use macgame_sim::{estimate_windows_partial, Engine, SimConfig};
 
@@ -234,76 +232,51 @@ impl<E: StageEvaluator> StageEvaluator for NoisyObservationEvaluator<E> {
 /// drivers can hand each worker its own clone and every worker benefits
 /// from profiles the others already evaluated.
 ///
-/// By default lookups are **permutation-canonicalizing**: the profile is
-/// sorted, the inner evaluator runs on the sorted profile, and the outcome
-/// is remapped through the inverse permutation. Both the hit and the miss
-/// path remap the same stored canonical outcome, so a hit is
-/// bitwise-identical to a fresh evaluation of the same profile. This
-/// requires the inner evaluator to be *permutation-equivariant* (relabeling
-/// players relabels the outcome the same way) — true of
-/// [`AnalyticalEvaluator`], whose utilities depend only on each player's
-/// own window and the multiset of others. For a deterministic evaluator
-/// that treats player identity specially, disable it with
-/// [`CachingEvaluator::without_canonicalization`].
+/// Lookups are **permutation-canonicalizing**: the profile is sorted, the
+/// inner evaluator runs on the sorted profile, and the outcome is remapped
+/// through the inverse permutation. Both the hit and the miss path remap
+/// the same stored canonical outcome, so a hit is bitwise-identical to a
+/// fresh evaluation of the same profile. This requires the inner evaluator
+/// to be *permutation-equivariant* (relabeling players relabels the
+/// outcome the same way) — true of [`AnalyticalEvaluator`], whose
+/// utilities depend only on each player's own window and the multiset of
+/// others.
 ///
 /// Do **not** wrap [`SimulatedEvaluator`]: its outcomes are noisy samples
 /// and its engine state advances per call — caching would freeze one
 /// sample forever.
-#[derive(Debug)]
+///
+/// Cloning clones the inner evaluator but **shares** the cache and its
+/// counters.
+#[derive(Debug, Clone)]
 pub struct CachingEvaluator<E> {
     inner: E,
-    cache: Arc<RwLock<std::collections::HashMap<Vec<u32>, Arc<StageOutcome>>>>,
-    hits: Arc<AtomicU64>,
-    misses: Arc<AtomicU64>,
-    canonical: bool,
-}
-
-impl<E: Clone> Clone for CachingEvaluator<E> {
-    /// Clones the inner evaluator but **shares** the cache and counters.
-    fn clone(&self) -> Self {
-        CachingEvaluator {
-            inner: self.inner.clone(),
-            cache: Arc::clone(&self.cache),
-            hits: Arc::clone(&self.hits),
-            misses: Arc::clone(&self.misses),
-            canonical: self.canonical,
-        }
-    }
+    cache: Arc<Memo<Vec<u32>, Arc<StageOutcome>>>,
 }
 
 impl<E: StageEvaluator> CachingEvaluator<E> {
-    /// Wraps `inner` with permutation canonicalization enabled.
+    /// Wraps `inner` in an empty, unbounded cache.
     #[must_use]
     pub fn new(inner: E) -> Self {
-        CachingEvaluator {
-            inner,
-            cache: Arc::new(RwLock::new(std::collections::HashMap::new())),
-            hits: Arc::new(AtomicU64::new(0)),
-            misses: Arc::new(AtomicU64::new(0)),
-            canonical: true,
-        }
-    }
-
-    /// Disables permutation canonicalization: profiles are cached verbatim
-    /// and the inner evaluator sees them in player order. Use for
-    /// deterministic evaluators that are not permutation-equivariant.
-    #[must_use]
-    pub fn without_canonicalization(mut self) -> Self {
-        self.canonical = false;
-        self
+        let names = MemoNames {
+            hits: Some("core.evaluator.hits"),
+            misses: Some("core.evaluator.misses"),
+            evictions: None,
+        };
+        CachingEvaluator { inner, cache: Arc::new(Memo::unbounded(names)) }
     }
 
     /// Cache hits served (shared across clones).
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.cache.hits()
     }
 
-    /// Cache misses, i.e. inner evaluations performed (shared across
+    /// Cache misses, i.e. inner evaluations stored (shared across
     /// clones).
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.cache.misses()
     }
 
     /// Remaps an outcome of the canonical (sorted) profile back onto the
@@ -323,47 +296,11 @@ impl<E: StageEvaluator> CachingEvaluator<E> {
 
 impl<E: StageEvaluator> StageEvaluator for CachingEvaluator<E> {
     fn evaluate(&mut self, windows: &[u32]) -> Result<StageOutcome, GameError> {
-        let (key, perm) = if self.canonical {
-            let (sorted, perm) = canonicalize(windows);
-            (sorted, Some(perm))
-        } else {
-            (windows.to_vec(), None)
-        };
-        let stored = {
-            let hit = self.cache.read().expect("cache lock poisoned").get(&key).cloned(); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-            match hit {
-                Some(outcome) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter("core.evaluator.hits", 1);
-                    outcome
-                }
-                None => {
-                    // Evaluate outside the write lock: concurrent misses on
-                    // the same key may duplicate work, but never block each
-                    // other, and the first insert wins so every caller
-                    // observes one canonical outcome.
-                    let outcome = Arc::new(self.inner.evaluate(&key)?);
-                    let mut map = self.cache.write().expect("cache lock poisoned"); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-                    match map.entry(key) {
-                        Entry::Occupied(existing) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            telemetry::counter("core.evaluator.hits", 1);
-                            Arc::clone(existing.get())
-                        }
-                        Entry::Vacant(slot) => {
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                            telemetry::counter("core.evaluator.misses", 1);
-                            slot.insert(Arc::clone(&outcome));
-                            outcome
-                        }
-                    }
-                }
-            }
-        };
-        Ok(match perm {
-            Some(perm) => Self::remap(&stored, &perm),
-            None => (*stored).clone(),
-        })
+        let (key, perm) = canonicalize(windows);
+        let inner = &mut self.inner;
+        let stored =
+            self.cache.get_or_try_insert_with(&key, || inner.evaluate(&key).map(Arc::new))?;
+        Ok(Self::remap(&stored, &perm))
     }
 }
 
@@ -545,17 +482,6 @@ mod tests {
         for i in 0..3 {
             assert!((b.utilities[i] - direct.utilities[i]).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn caching_evaluator_without_canonicalization_caches_verbatim() {
-        let g = game(3);
-        let mut cached =
-            CachingEvaluator::new(AnalyticalEvaluator::new(g)).without_canonicalization();
-        let _ = cached.evaluate(&[16, 64, 256]).unwrap();
-        let _ = cached.evaluate(&[256, 16, 64]).unwrap();
-        assert_eq!(cached.misses(), 2);
-        assert_eq!(cached.hits(), 0);
     }
 
     #[test]

@@ -21,34 +21,25 @@
 //! the clone-and-argsort canonicalization entirely and collapse by
 //! run-length encoding in one pass.
 //!
-//! # Sharding and eviction
-//!
-//! The store is split into up to [`MAX_SHARDS`] independently locked
-//! shards (selected by an FNV-1a hash of the canonical class structure,
-//! stable across runs and platforms), so concurrent lookups from a
-//! batch-serving front end contend on `1/MAX_SHARDS` of the key space
-//! instead of one global lock. [`SolveCache::new`] builds an unbounded
-//! cache (the historical behavior); [`SolveCache::with_capacity`] bounds
-//! the resident entries, evicting per shard in FIFO insertion order and
-//! counting evictions in [`SolveCache::evictions`] and the
-//! `dcf.cache.evictions` telemetry counter.
+//! Storage, sharding, FIFO eviction and the `dcf.cache.{hits,misses,
+//! evictions}` counters are the shared [`Memo`]'s; this module adds the
+//! canonicalization and the solve.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use macgame_telemetry as telemetry;
 
 use crate::classes::{ClassEquilibrium, ClassProfile};
 use crate::error::DcfError;
 use crate::fixedpoint::{solve_classes, Equilibrium, SolveOptions};
+use crate::memo::{Memo, MemoNames};
 use crate::params::DcfParams;
 
-/// Maximum number of independently locked shards in a [`SolveCache`].
-/// Bounded caches with fewer than `MAX_SHARDS` entries use one shard per
-/// entry so the configured capacity is exact.
-pub const MAX_SHARDS: usize = 16;
+const NAMES: MemoNames = MemoNames {
+    hits: Some("dcf.cache.hits"),
+    misses: Some("dcf.cache.misses"),
+    evictions: Some("dcf.cache.evictions"),
+};
 
 /// Stable argsort of a window profile: returns the sorted profile and the
 /// permutation `perm` with `sorted[k] == windows[perm[k]]`.
@@ -74,37 +65,6 @@ pub fn remap(canonical: &Equilibrium, perm: &[usize]) -> Equilibrium {
     Equilibrium { taus, collision_probs, iterations: canonical.iterations }
 }
 
-/// FNV-1a over the canonical class structure: deterministic across runs
-/// and platforms (unlike `std`'s seeded hasher), so shard assignment —
-/// and therefore per-shard eviction order — is reproducible.
-fn fnv1a_profile(profile: &ClassProfile) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    for &w in profile.windows() {
-        for byte in w.to_le_bytes() {
-            eat(byte);
-        }
-    }
-    for &c in profile.counts() {
-        for byte in (c as u64).to_le_bytes() {
-            eat(byte);
-        }
-    }
-    h
-}
-
-/// One lock's worth of the cache: the key → solution map plus the FIFO
-/// insertion queue that drives eviction in bounded caches (empty and
-/// unmaintained when the cache is unbounded).
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<ClassProfile, Arc<ClassEquilibrium>>,
-    order: VecDeque<ClassProfile>,
-}
-
 /// Shared profile → class-solution cache for one `(params, options)`
 /// pair. Wrap in an [`Arc`] to share across threads; all methods take
 /// `&self`.
@@ -112,13 +72,7 @@ struct Shard {
 pub struct SolveCache {
     params: DcfParams,
     options: SolveOptions,
-    shards: Vec<RwLock<Shard>>,
-    /// `None` — unbounded. `Some(k)` with `k > 0` — at most `k` entries
-    /// per shard. `Some(0)` — the no-op cache: nothing is ever stored.
-    per_shard: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    memo: Memo<ClassProfile, Arc<ClassEquilibrium>>,
 }
 
 impl SolveCache {
@@ -126,16 +80,11 @@ impl SolveCache {
     /// `options`: entries are never evicted.
     #[must_use]
     pub fn new(params: DcfParams, options: SolveOptions) -> Self {
-        Self::build(params, options, None)
+        SolveCache { params, options, memo: Memo::unbounded(NAMES) }
     }
 
-    /// Creates a cache holding at most `capacity` resident solutions.
-    ///
-    /// The bound is enforced per shard (FIFO insertion order), with the
-    /// shard count chosen so the aggregate never exceeds `capacity`: a
-    /// hot shard may evict while colder shards still have room, so the
-    /// resident count can sit below `capacity` under skewed workloads,
-    /// but never above it.
+    /// Creates a cache holding at most `capacity` resident solutions,
+    /// evicting per shard in FIFO insertion order (see [`Memo::bounded`]).
     ///
     /// `with_capacity(0)` is the documented **no-op cache**: every lookup
     /// is a miss that solves afresh, nothing is ever stored, and the
@@ -145,30 +94,7 @@ impl SolveCache {
     /// memory.
     #[must_use]
     pub fn with_capacity(params: DcfParams, options: SolveOptions, capacity: usize) -> Self {
-        Self::build(params, options, Some(capacity))
-    }
-
-    fn build(params: DcfParams, options: SolveOptions, capacity: Option<usize>) -> Self {
-        // Bounded caches smaller than MAX_SHARDS get one single-entry
-        // shard per slot so the configured capacity is exact; larger ones
-        // split capacity evenly, rounding down so the total never exceeds
-        // the request.
-        let (shard_count, per_shard) = match capacity {
-            None => (MAX_SHARDS, None),
-            Some(0) => (1, Some(0)),
-            Some(c) if c < MAX_SHARDS => (c, Some(1)),
-            Some(c) => (MAX_SHARDS, Some(c / MAX_SHARDS)),
-        };
-        let shards = (0..shard_count).map(|_| RwLock::new(Shard::default())).collect();
-        SolveCache {
-            params,
-            options,
-            shards,
-            per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        SolveCache { params, options, memo: Memo::bounded(capacity, NAMES) }
     }
 
     /// The DCF parameters every cached solution was computed under.
@@ -181,11 +107,6 @@ impl SolveCache {
     #[must_use]
     pub fn options(&self) -> SolveOptions {
         self.options
-    }
-
-    fn shard_for(&self, profile: &ClassProfile) -> &RwLock<Shard> {
-        let idx = (fnv1a_profile(profile) % self.shards.len() as u64) as usize;
-        &self.shards[idx]
     }
 
     /// Solves `windows`, serving permutations (and multiplicity
@@ -224,97 +145,40 @@ impl SolveCache {
         &self,
         profile: &ClassProfile,
     ) -> Result<Arc<ClassEquilibrium>, DcfError> {
-        if self.per_shard == Some(0) {
-            // No-op cache: always a fresh solve, nothing retained.
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter("dcf.cache.misses", 1);
-            return Ok(Arc::new(solve_classes(profile, &self.params, self.options)?));
-        }
-        let shard = self.shard_for(profile);
-        if let Some(hit) = shard.read().expect("cache lock poisoned").map.get(profile) { // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter("dcf.cache.hits", 1);
-            return Ok(Arc::clone(hit));
-        }
-        // Solve outside the write lock: concurrent misses on the same key
-        // may duplicate work, but never block each other, and the first
-        // insert wins so every caller observes one canonical solution.
-        // The key is only cloned here, on the miss path.
-        let solved = Arc::new(solve_classes(profile, &self.params, self.options)?);
-        let mut guard = shard.write().expect("cache lock poisoned"); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-        match guard.map.entry(profile.clone()) {
-            Entry::Occupied(existing) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("dcf.cache.hits", 1);
-                return Ok(Arc::clone(existing.get()));
-            }
-            Entry::Vacant(slot) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter("dcf.cache.misses", 1);
-                slot.insert(Arc::clone(&solved));
-            }
-        }
-        if let Some(bound) = self.per_shard {
-            guard.order.push_back(profile.clone());
-            while guard.map.len() > bound {
-                // The queue only ever holds live keys: hits never re-push,
-                // and eviction removes from both sides in lockstep.
-                if let Some(victim) = guard.order.pop_front() {
-                    guard.map.remove(&victim);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter("dcf.cache.evictions", 1);
-                } else {
-                    break;
-                }
-            }
-        }
-        Ok(solved)
+        self.memo.get_or_try_insert_with(profile, || {
+            Ok(Arc::new(solve_classes(profile, &self.params, self.options)?))
+        })
     }
 
     /// Number of lookups served from the cache.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.memo.hits()
     }
 
     /// Number of lookups that required a fresh solve.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.memo.misses()
     }
 
     /// Number of cached solutions dropped to stay under the capacity
     /// bound. Always zero for unbounded and zero-capacity caches.
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.memo.evictions()
     }
 
     /// Number of distinct canonical profiles currently resident.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache lock poisoned").map.len()) // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-            .sum()
+        self.memo.len()
     }
 
     /// Whether the cache is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all cached solutions and resets the counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut guard = shard.write().expect("cache lock poisoned"); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-            guard.map.clear();
-            guard.order.clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        self.memo.is_empty()
     }
 }
 
@@ -329,11 +193,6 @@ mod tests {
 
     fn bounded(capacity: usize) -> SolveCache {
         SolveCache::with_capacity(DcfParams::default(), SolveOptions::default(), capacity)
-    }
-
-    /// `count` distinct canonical profiles (distinct window multisets).
-    fn distinct_profiles(count: u32) -> Vec<Vec<u32>> {
-        (0..count).map(|i| vec![16 + i, 64 + 2 * i, 256]).collect()
     }
 
     #[test]
@@ -447,44 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let c = bounded(1);
-        c.solve(&[8, 16]).unwrap();
-        c.solve(&[8, 16]).unwrap();
-        c.solve(&[8, 32]).unwrap(); // evicts [8, 16]
-        assert!(c.hits() > 0 && !c.is_empty() && c.evictions() > 0);
-        c.clear();
-        assert_eq!((c.hits(), c.misses(), c.evictions(), c.len()), (0, 0, 0, 0));
-    }
-
-    #[test]
-    fn unbounded_cache_never_evicts() {
-        let c = cache();
-        let profiles = distinct_profiles(40);
-        for p in &profiles {
-            c.solve(p).unwrap();
-        }
-        assert_eq!(c.len(), profiles.len());
-        assert_eq!(c.evictions(), 0);
-    }
-
-    #[test]
-    fn bounded_cache_evicts_past_capacity() {
-        let capacity = 4;
-        let c = bounded(capacity);
-        let profiles = distinct_profiles(12);
-        for p in &profiles {
-            c.solve(p).unwrap();
-        }
-        assert!(c.len() <= capacity, "resident {} > capacity {capacity}", c.len());
-        assert!(!c.is_empty());
-        assert_eq!(c.misses(), 12);
-        // Per-shard FIFO: the aggregate eviction count is exactly the
-        // overflow past the resident set.
-        assert_eq!(c.evictions(), 12 - c.len() as u64);
-    }
-
-    #[test]
     fn evicted_key_resolves_bitwise_identical() {
         // capacity 1 → a single one-entry shard → strict global FIFO.
         let c = bounded(1);
@@ -502,31 +323,17 @@ mod tests {
     }
 
     #[test]
-    fn large_capacity_splits_across_shards_without_exceeding_bound() {
-        let capacity = 64;
-        let c = bounded(capacity);
-        let profiles = distinct_profiles(200);
-        for p in &profiles {
-            c.solve(p).unwrap();
-        }
-        assert!(c.len() <= capacity);
-        assert_eq!(c.misses() - c.evictions(), c.len() as u64);
-    }
-
-    #[test]
-    fn zero_capacity_is_a_noop_cache() {
+    fn zero_capacity_solves_match_the_direct_solver() {
+        // The no-op cache solves afresh every time, through the same path.
         let c = bounded(0);
         let profile = ClassProfile::new(vec![16, 64], vec![2, 3]).unwrap();
         let a = c.solve_class_profile(&profile).unwrap();
         let b = c.solve_class_profile(&profile).unwrap();
-        // Every lookup is a miss; nothing is stored, nothing is evicted.
-        assert_eq!((c.hits(), c.misses(), c.evictions()), (0, 2, 0));
-        assert!(c.is_empty());
-        assert_eq!(*a, *b, "fresh solves of the same profile are deterministic");
-        // And the node-level entry point agrees with the direct solver.
+        assert_eq!(*a, *b);
         let via_cache = c.solve(&[16, 16, 64, 64, 64]).unwrap();
         let direct =
             solve(&[16, 16, 64, 64, 64], &DcfParams::default(), SolveOptions::default()).unwrap();
         assert_eq!(via_cache, direct);
+        assert!(c.is_empty());
     }
 }

@@ -27,15 +27,12 @@
 //! and class-level slot/utility helpers that keep payoff evaluation O(k)
 //! as well.
 
-use std::collections::BTreeMap;
-use std::sync::RwLock;
-
-use macgame_telemetry as telemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::error::DcfError;
 use crate::fixedpoint::{solve_symmetric, Equilibrium, SymmetricPoint};
 use crate::markov::transmission_probability;
+use crate::memo::{Memo, MemoNames};
 use crate::params::DcfParams;
 use crate::throughput::SlotStats;
 use crate::utility::UtilityParams;
@@ -45,7 +42,7 @@ use crate::utility::UtilityParams;
 /// of a window *multiset* — two node-level profiles collapse to the same
 /// `ClassProfile` iff they are permutations of each other, so it doubles
 /// as the cache key that subsumes permutation canonicalization.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ClassProfile {
     /// Distinct windows, strictly increasing.
     windows: Vec<u32>,
@@ -306,14 +303,16 @@ impl ClassEquilibrium {
 #[derive(Debug)]
 pub struct SymmetricMemo {
     params: DcfParams,
-    map: RwLock<BTreeMap<(usize, u32), SymmetricPoint>>,
+    roots: Memo<(usize, u32), SymmetricPoint>,
 }
 
 impl SymmetricMemo {
     /// Creates an empty memo bound to `params`.
     #[must_use]
     pub fn new(params: DcfParams) -> Self {
-        SymmetricMemo { params, map: RwLock::new(BTreeMap::new()) }
+        let names =
+            MemoNames { hits: Some("dcf.solver.symmetric_seed_hits"), ..MemoNames::default() };
+        SymmetricMemo { params, roots: Memo::unbounded(names) }
     }
 
     /// The DCF parameters every memoized root was computed under.
@@ -329,22 +328,13 @@ impl SymmetricMemo {
     ///
     /// Propagates [`solve_symmetric`] errors (`n == 0` or `w == 0`).
     pub fn solve(&self, n: usize, w: u32) -> Result<SymmetricPoint, DcfError> {
-        if let Some(hit) = self.map.read().expect("memo lock poisoned").get(&(n, w)) { // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-            telemetry::counter("dcf.solver.symmetric_seed_hits", 1);
-            return Ok(*hit);
-        }
-        // Bisect outside the write lock: concurrent misses on the same key
-        // may duplicate work but compute the identical root, so whichever
-        // insert lands first the stored value is the same.
-        let point = solve_symmetric(n, w, &self.params)?;
-        self.map.write().expect("memo lock poisoned").entry((n, w)).or_insert(point); // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
-        Ok(point)
+        self.roots.get_or_try_insert_with(&(n, w), || solve_symmetric(n, w, &self.params))
     }
 
     /// Number of distinct `(n, W)` roots stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.read().expect("memo lock poisoned").len() // PANIC-POLICY: lock poisoning means a panic is already unwinding; propagating it is correct
+        self.roots.len()
     }
 
     /// Whether the memo is empty.

@@ -25,6 +25,8 @@
 //! * [`cache`] — thread-safe, permutation-canonicalizing memoization of
 //!   fixed-point solutions keyed by canonical class profiles (a hit is
 //!   bitwise-identical to a fresh solve);
+//! * [`memo`] — the sharded, bounded-or-unbounded, first-insert-wins
+//!   [`Memo`] every cache in the workspace stores through;
 //! * [`parallel`] — warm-chained, chunk-parallel profile sweeps and the
 //!   workspace-wide `threads` knob (`0` = auto via `MACGAME_THREADS`);
 //! * [`throughput`] — slot statistics and normalized saturation throughput;
@@ -67,6 +69,7 @@ pub mod error;
 pub mod fairness;
 pub mod fixedpoint;
 pub mod markov;
+pub mod memo;
 pub mod parallel;
 pub mod optimal;
 pub mod params;
@@ -90,6 +93,7 @@ pub use fixedpoint::{
     solve_robust, solve_seeded, solve_symmetric, solve_with_guess, Equilibrium, RobustSolve,
     SolveOptions, SymmetricPoint,
 };
+pub use memo::{Memo, MemoNames};
 pub use parallel::{
     resolve_threads, solve_class_sweep, solve_sweep, solve_sweep_cached, solve_sweep_seeded,
 };

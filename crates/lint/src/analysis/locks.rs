@@ -1,6 +1,6 @@
 //! The lock-order pass: a static consistent-ordering check over lock
-//! acquisitions, so the sharded `SolveCache`/`ReplyCache` and the
-//! telemetry recorder cannot grow a deadlock unnoticed.
+//! acquisitions, so the sharded `dcf::memo::Memo` behind every cache and
+//! the telemetry recorder cannot grow a deadlock unnoticed.
 //!
 //! An *acquisition* is a zero-argument `.lock()` / `.read()` / `.write()`
 //! method call — the signatures of `Mutex::lock` and `RwLock::read` /

@@ -6,8 +6,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use macgame_lint::rules::{RULE_PANIC, RULE_WALL_CLOCK};
-use macgame_lint::waivers::{RULE_INVALID_WAIVER, RULE_STALE_WAIVER};
-use macgame_lint::{find_workspace_root, run_lint};
+use macgame_lint::waivers::{parse_waivers, RULE_INVALID_WAIVER, RULE_STALE_WAIVER};
+use macgame_lint::{find_workspace_root, run_lint, WAIVER_FILE};
 
 fn real_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()
@@ -25,6 +25,19 @@ fn real_workspace_is_lint_clean() {
     assert!(report.findings.iter().all(|f| {
         !f.waived || f.reason.as_deref().is_some_and(|r| !r.trim().is_empty())
     }));
+}
+
+/// Waivers may only go down: lower this bound whenever a waiver is
+/// removed, and never raise it.
+const MAX_WAIVERS: usize = 3;
+
+#[test]
+fn waiver_count_never_grows() {
+    let text = fs::read_to_string(real_root().join(WAIVER_FILE)).unwrap();
+    let set = parse_waivers(&text);
+    assert!(set.findings.is_empty(), "{:?}", set.findings);
+    let count = set.waivers.len();
+    assert!(count <= MAX_WAIVERS, "{count} waivers in {WAIVER_FILE}; at most {MAX_WAIVERS} allowed");
 }
 
 #[test]

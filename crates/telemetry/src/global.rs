@@ -5,7 +5,7 @@
 //! no recorder is installed, so permanent instrumentation in hot loops does
 //! not perturb benchmarks or artifact bytes.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -47,6 +47,40 @@ fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
 /// Add `delta` to the global counter `name` (no-op when uninstrumented).
 pub fn counter(name: &'static str, delta: u64) {
     with_recorder(|r| r.counter_add(name, delta));
+}
+
+/// A monotonic count owned by one object (a cache's hits, say) that also
+/// reports every increment to the global counter `name`, when it has one.
+///
+/// The local total is exact whether or not a recorder is installed; it is
+/// a diagnostic read by the owner's accessors and tests, so the relaxed
+/// ordering orders no other memory access.
+#[derive(Debug)]
+pub struct Counter {
+    name: Option<&'static str>,
+    total: AtomicU64,
+}
+
+impl Counter {
+    /// A zeroed count reporting under `name` (`None`: local only).
+    #[must_use]
+    pub const fn new(name: Option<&'static str>) -> Self {
+        Counter { name, total: AtomicU64::new(0) }
+    }
+
+    /// Adds one to the local total and to the global counter.
+    pub fn incr(&self) {
+        self.total.fetch_add(1, Ordering::Relaxed);
+        if let Some(name) = self.name {
+            counter(name, 1);
+        }
+    }
+
+    /// The local total so far.
+    #[must_use]
+    pub fn get(&self) -> u64 {
+        self.total.load(Ordering::Relaxed)
+    }
 }
 
 /// Set the global gauge `name` (no-op when uninstrumented).
@@ -125,5 +159,16 @@ mod tests {
         assert_eq!(snapshot.gauge("global.gauge"), Some(2.5));
         assert_eq!(snapshot.histogram("global.hist").unwrap().count, 1);
         assert_eq!(snapshot.timing("global.span").unwrap().count, 1);
+    }
+
+    #[test]
+    fn counter_keeps_an_exact_local_total() {
+        let named = Counter::new(Some("global.counter_type"));
+        let local = Counter::new(None);
+        for _ in 0..3 {
+            named.incr();
+            local.incr();
+        }
+        assert_eq!((named.get(), local.get()), (3, 3));
     }
 }

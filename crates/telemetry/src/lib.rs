@@ -38,13 +38,22 @@
 //! # Namespaces
 //!
 //! Metric names are dot-separated and prefixed by the emitting crate:
-//! `dcf.*` (solver, sweep, and solve-cache internals), `core.*`
-//! (evaluator, search, tournaments), `multihop.*`, `faults.*`,
-//! `serve.*` (the batch-query engine: `serve.queries`, `serve.batches`,
-//! `serve.coalesced`, `serve.connections`, `serve.errors`,
-//! `serve.frame_errors`, and the reply-cache `serve.cache.{hits,misses,
-//! evictions}` alongside the lower-tier `dcf.cache.*`), `conformance.*`,
-//! and `profile.*` for the top-level `repro -- profile` workloads.
+//! `dcf.*` (solver and sweep internals), `core.*` (search,
+//! tournaments), `multihop.*`, `faults.*`, `serve.*` (the batch-query
+//! engine: `serve.queries`, `serve.batches`, `serve.coalesced`,
+//! `serve.connections`, `serve.errors`, `serve.frame_errors`),
+//! `conformance.*`, and `profile.*` for the top-level `repro -- profile`
+//! workloads.
+//!
+//! The caches all store through `dcf::memo::Memo`, which keeps its
+//! totals in [`Counter`]s named after each owner's counters:
+//!
+//! * the solve cache: `dcf.cache.{hits,misses,evictions}`, plus
+//!   `dcf.cache.sorted_fast_path` for already-sorted lookups;
+//! * the reply cache: `serve.cache.{hits,misses,evictions}`;
+//! * the caching evaluator: `core.evaluator.{hits,misses}`;
+//! * the symmetric-root memo: `dcf.solver.symmetric_seed_hits` only;
+//! * the EDCA stage memo: none.
 //!
 //! # Example
 //!
@@ -75,6 +84,6 @@ mod recorder;
 pub use collect::{CollectingRecorder, HistogramSnapshot, Snapshot, TimingSnapshot};
 pub use global::{
     clear_recorder, counter, gauge, histogram, recorder_installed, set_recorder, span, timing,
-    Span,
+    Counter, Span,
 };
 pub use recorder::{NoopRecorder, Recorder};

@@ -14,6 +14,9 @@ cargo test -q
 echo "==> cargo test -q --release --workspace"
 cargo test -q --release --workspace
 
+echo "==> perfbench unit tests (compiles against Engine::reply_cache and the dcf.cache.* counters)"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> paper-conformance gate (repro -- conformance --quick)"
 cargo run --release -p macgame-bench --bin repro -- conformance --quick
 

@@ -32,7 +32,8 @@ use crate::game::GameConfig;
 /// One typed analytic query, the unit of the serve-layer batch protocol.
 ///
 /// All variants are fully specified — there are no defaulted fields — so
-/// a query's canonical JSON doubles as its cache/coalescing key.
+/// a query's fields alone identify it: the serve layer keys its cache and
+/// coalesces duplicates by them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Query {
     /// The efficient symmetric NE window `W_c*` (paper Section V.B) for

@@ -35,8 +35,9 @@ use crate::edca::EdcaProfile;
 /// per entry so the configured capacity is exact.
 const MAX_SHARDS: usize = 16;
 
-/// FNV-1a over `bytes`: the shard hash of every [`Memo`].
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+/// FNV-1a over `bytes`: the shard hash of every [`Memo`]. [`ShardKey`]
+/// impls outside this module feed it their key's fixed byte encoding.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
     })

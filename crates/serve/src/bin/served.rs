@@ -7,6 +7,13 @@
 //!
 //! Options: `--threads N` (0 = auto from `MACGAME_THREADS`),
 //! `--reply-cache N`, `--solve-cache N` (entries; 0 = no-op cache).
+//!
+//! Over TCP, a failed `accept()` never stops the server: a connection
+//! aborted before it was accepted, or the process out of file
+//! descriptors (each connection holds two), is counted under
+//! `serve.accept_errors`, the loop pauses 5 ms so fd exhaustion cannot
+//! spin it, and it accepts again. A connection's own I/O failure ends
+//! that connection only.
 
 use std::net::TcpListener;
 use std::process::ExitCode;

@@ -18,8 +18,10 @@
 //! * [`protocol`] — request/reply envelopes over
 //!   [`macgame_core::queries::Query`] / `QueryResult`.
 //! * [`executor`] — fixed-chunk fan-out (the `dcf::parallel` discipline).
-//! * [`engine`] — coalescing, routing, deterministic reply assembly.
-//! * [`transport`] — connection loops: any `Read + Write`, stdio, TCP.
+//! * [`engine`] — typed query keys, coalescing, routing, cached reply
+//!   bytes, deterministic reply assembly.
+//! * [`transport`] — connection loops: any `Read + Write`, stdio, TCP;
+//!   one write per request frame.
 //! * [`harness`] — the in-process `ServeHarness` client every test,
 //!   conformance claim, and benchmark drives the engine through.
 //!

@@ -10,9 +10,11 @@
 //!
 //! Query and result schemas are [`macgame_core::queries::Query`] /
 //! [`macgame_core::queries::QueryResult`], serialized externally tagged
-//! (`{"WcStar": {...}}`). A query's canonical JSON doubles as its
-//! coalescing/cache key, so two requests are duplicates iff their wire
-//! bytes (modulo `id`) are equal.
+//! (`{"WcStar": {...}}`). The engine keys a query by its typed
+//! [`crate::engine::QueryKey`], which is equal for two queries exactly
+//! when their canonical JSON is, so two requests are duplicates iff
+//! their queries serialize to the same bytes. Every reply frame to one
+//! request frame is sent in one write.
 
 use macgame_core::queries::{Query, QueryResult};
 use serde::{Deserialize, Serialize};

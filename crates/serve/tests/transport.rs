@@ -3,14 +3,15 @@
 //! the same engine semantics the in-process [`ServeHarness`] asserts,
 //! now through real sockets.
 
-use std::io::{Read, Write};
+use std::io::{Cursor, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use macgame_core::queries::Query;
 use macgame_dcf::AccessMode;
 use macgame_serve::frame::write_frame;
-use macgame_serve::{serve_tcp, Engine, EngineConfig, ErrorKind, Reply, ServeHarness};
+use macgame_serve::{serve_stream, serve_tcp, Engine, EngineConfig, ErrorKind, Reply, ServeHarness};
 
 /// Binds an ephemeral localhost port and serves it from a detached
 /// thread, returning the address to dial. The accept loop runs for the
@@ -136,4 +137,75 @@ fn concurrent_connections_share_one_engine_and_its_caches() {
     let lookups = engine.reply_cache().hits() + engine.reply_cache().misses();
     assert_eq!(lookups, (4 * queries.len()) as u64);
     assert!(engine.reply_cache().misses() >= queries.len() as u64);
+}
+
+/// A writer that accepts everything and counts `write` and `flush` calls.
+#[derive(Default)]
+struct CountingWriter {
+    bytes: Vec<u8>,
+    writes: usize,
+    flushes: usize,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.flushes += 1;
+        Ok(())
+    }
+}
+
+#[test]
+fn every_request_frame_is_answered_with_one_write() {
+    let engine = Engine::new(EngineConfig::default()).unwrap();
+    let batch = ServeHarness::encode_batch(&queries()).unwrap();
+    let mut wire = Vec::new();
+    wire.extend_from_slice(&batch);
+    write_frame(&mut wire, b"definitely not a batch").unwrap();
+    wire.extend_from_slice(&batch);
+    wire.extend_from_slice(&batch);
+    let mut writer = CountingWriter::default();
+    serve_stream(&engine, &mut Cursor::new(wire), &mut writer).unwrap();
+    assert_eq!((writer.writes, writer.flushes), (4, 4));
+    let replies = ServeHarness::decode_replies(&writer.bytes).unwrap();
+    assert_eq!(replies.len(), 1 + 3 * queries().len());
+}
+
+/// A batch of 64 distinct queries the server can answer from its cache
+/// once warmed.
+fn hot_batch() -> Vec<Query> {
+    (0..64u32)
+        .map(|i| Query::DeviationPayoff {
+            players: 5,
+            mode: if i % 2 == 0 { AccessMode::Basic } else { AccessMode::RtsCts },
+            w_star: 79,
+            w_dev: 10 + i,
+            reaction_stages: 1,
+            delta_s: 0.5,
+        })
+        .collect()
+}
+
+#[test]
+fn warm_batches_round_trip_without_the_delayed_ack_stall() {
+    let (_engine, addr) = spawn_server();
+    let batch = ServeHarness::encode_batch(&hot_batch()).unwrap();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(&batch).unwrap();
+    assert!(read_replies(&mut stream, 64).iter().all(Reply::is_ok));
+
+    // A server that sends a reply in small writes waits about 40 ms per
+    // batch for the client's delayed ACK: 32 round trips take over 1.3 s.
+    let start = Instant::now();
+    for _ in 0..32 {
+        stream.write_all(&batch).unwrap();
+        assert!(read_replies(&mut stream, 64).iter().all(Reply::is_ok));
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "32 warm round trips took {elapsed:?}");
 }

@@ -14,6 +14,15 @@ cargo test -q
 echo "==> cargo test -q --release --workspace"
 cargo test -q --release --workspace
 
+echo "==> served end to end over stdio (golden reply stream at MACGAME_THREADS=1 and 2)"
+cargo build --release -p macgame-serve --bin served
+for threads in 1 2; do
+  MACGAME_THREADS=$threads ./target/release/served \
+    < crates/serve/tests/golden/replies.wire > target/served-golden.bin
+  cmp target/served-golden.bin crates/serve/tests/golden/replies.bin
+done
+rm target/served-golden.bin
+
 echo "==> perfbench unit tests (compiles against Engine::reply_cache and the dcf.cache.* counters)"
 cargo test -q --manifest-path perfbench/Cargo.toml
 

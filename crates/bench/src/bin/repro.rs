@@ -1265,7 +1265,8 @@ fn lint() -> Result<(), BenchError> {
          plus call-graph analyses (determinism taint, panic reachability, \
          lock order)"
     );
-    let workspace = macgame_lint::run_workspace(&root)?;
+    let workspace = macgame_lint::run_workspace(&root, &macgame_lint::LintConfig::default())?;
+    let count = |report: &macgame_lint::Report, name: &str| report.counter(name).unwrap_or(0);
     let report = &workspace.lint;
     let rows = report.table_rows();
     if !rows.is_empty() {
@@ -1276,8 +1277,8 @@ fn lint() -> Result<(), BenchError> {
     let waived = report.findings.len() - report.unwaived().len();
     println!(
         "{} file(s), {} manifest(s) scanned: {} finding(s), {} waived, {} unwaived",
-        report.files_scanned,
-        report.manifests_checked,
+        count(report, "files_scanned"),
+        count(report, "manifests_checked"),
         report.findings.len(),
         waived,
         report.unwaived().len()
@@ -1287,11 +1288,11 @@ fn lint() -> Result<(), BenchError> {
     println!(
         "\ncall graph: {} fn(s), {} edge(s); {} taint root(s), {} public \
          root(s), {} lock site(s)",
-        analysis.stats.functions,
-        analysis.stats.edges,
-        analysis.stats.taint_roots,
-        analysis.stats.public_roots,
-        analysis.stats.lock_sites,
+        count(analysis, "functions"),
+        count(analysis, "edges"),
+        count(analysis, "taint_roots"),
+        count(analysis, "public_roots"),
+        count(analysis, "lock_sites"),
     );
     let rows = analysis.table_rows();
     if !rows.is_empty() {

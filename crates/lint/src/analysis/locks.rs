@@ -289,13 +289,15 @@ pub(super) fn run(ctx: &Ctx<'_>) -> (Vec<Finding>, usize) {
 
 #[cfg(test)]
 mod tests {
-    use crate::analysis::{analyze, AnalysisConfig, RULE_LOCK_ORDER};
+    use crate::analysis::{analyze, parsed, RULE_LOCK_ORDER};
+    use crate::LintConfig;
 
-    fn config() -> AnalysisConfig {
-        AnalysisConfig {
+    fn config() -> LintConfig {
+        LintConfig {
             taint_roots: vec![],
             wall_clock_allow: vec![],
             panic_api_prefixes: vec![],
+            relaxed_allow: vec![],
         }
     }
 
@@ -310,14 +312,14 @@ mod tests {
              }\n"
                 .to_string(),
         )];
-        let report = analyze(&files, &config());
+        let report = analyze(&parsed(files), &config());
         let cycles: Vec<&crate::rules::Finding> =
             report.findings.iter().filter(|f| f.rule == RULE_LOCK_ORDER).collect();
         assert_eq!(cycles.len(), 1, "{:?}", report.findings);
         assert!(cycles[0].message.contains("S::alpha"), "{}", cycles[0].message);
         assert!(cycles[0].message.contains("S::beta"));
         assert_eq!(cycles[0].witness.len(), 2, "one description per edge");
-        assert_eq!(report.stats.lock_sites, 4);
+        assert_eq!(report.counter("lock_sites"), Some(4));
     }
 
     #[test]
@@ -334,7 +336,7 @@ mod tests {
              }\n"
                 .to_string(),
         )];
-        let report = analyze(&files, &config());
+        let report = analyze(&parsed(files), &config());
         assert!(report.is_clean(), "{:?}", report.findings);
     }
 
@@ -351,7 +353,7 @@ mod tests {
              }\n"
                 .to_string(),
         )];
-        let report = analyze(&files, &config());
+        let report = analyze(&parsed(files), &config());
         assert_eq!(
             report.findings.iter().filter(|f| f.rule == RULE_LOCK_ORDER).count(),
             1,

@@ -35,7 +35,7 @@ pub(super) fn run(ctx: &Ctx<'_>) -> (Vec<Finding>, usize) {
         if node.def.is_test {
             continue;
         }
-        let file_markers = ctx.markers.get(&node.file);
+        let file_markers = ctx.markers(&node.file);
         let marked = |line: u32| {
             file_markers.is_some_and(|m| {
                 m.contains_key(&line)
@@ -88,13 +88,15 @@ pub(super) fn run(ctx: &Ctx<'_>) -> (Vec<Finding>, usize) {
 
 #[cfg(test)]
 mod tests {
-    use crate::analysis::{analyze, AnalysisConfig, RULE_PANIC_PATH};
+    use crate::analysis::{analyze, parsed, RULE_PANIC_PATH};
+    use crate::LintConfig;
 
-    fn config() -> AnalysisConfig {
-        AnalysisConfig {
+    fn config() -> LintConfig {
+        LintConfig {
             taint_roots: vec![],
             wall_clock_allow: vec![],
             panic_api_prefixes: vec!["crates/".to_string()],
+            relaxed_allow: vec![],
         }
     }
 
@@ -106,7 +108,7 @@ mod tests {
              fn helper(x: Option<u32>) -> u32 { x.unwrap() }\n"
                 .to_string(),
         )];
-        let report = analyze(&files, &config());
+        let report = analyze(&parsed(files), &config());
         let f = &report.findings[0];
         assert_eq!(f.rule, RULE_PANIC_PATH);
         assert_eq!(f.line, 2);
@@ -133,7 +135,7 @@ mod tests {
              fn naked(x: Option<u32>) -> u32 { x.expect(\"set\") }\n"
                 .to_string(),
         )];
-        let report = analyze(&files, &config());
+        let report = analyze(&parsed(files), &config());
         assert!(
             report.is_clean(),
             "marked site and pub(crate)-only path must not fire: {:?}",

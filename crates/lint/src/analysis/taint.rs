@@ -171,13 +171,15 @@ pub(super) fn run(ctx: &Ctx<'_>) -> (Vec<Finding>, usize) {
 
 #[cfg(test)]
 mod tests {
-    use crate::analysis::{analyze, AnalysisConfig, RootSpec, RULE_TAINT};
+    use crate::analysis::{analyze, parsed, RootSpec, RULE_TAINT};
+    use crate::LintConfig;
 
-    fn config() -> AnalysisConfig {
-        AnalysisConfig {
+    fn config() -> LintConfig {
+        LintConfig {
             taint_roots: vec![RootSpec::fn_in("crates/app/src/", "emit")],
             wall_clock_allow: vec!["crates/app/src/quarantine.rs".to_string()],
             panic_api_prefixes: vec![],
+            relaxed_allow: vec![],
         }
     }
 
@@ -191,7 +193,7 @@ mod tests {
                     .to_string(),
             ),
         ];
-        let report = analyze(&files, &config());
+        let report = analyze(&parsed(files), &config());
         let f = &report.findings[0];
         assert_eq!(f.rule, RULE_TAINT);
         assert_eq!((f.path.as_str(), f.line), ("crates/app/src/lib.rs", 3));
@@ -221,7 +223,7 @@ mod tests {
                 "pub fn span() { let _ = std::time::Instant::now(); }\n".to_string(),
             ),
         ];
-        let report = analyze(&files, &config());
+        let report = analyze(&parsed(files), &config());
         assert!(report.is_clean(), "{:?}", report.findings);
     }
 
@@ -237,7 +239,7 @@ mod tests {
              }\nfn todo() -> std::collections::HashMap<u32, u32> { loop {} }\n"
                 .to_string(),
         )];
-        let report = analyze(&files, &config());
+        let report = analyze(&parsed(files), &config());
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
         assert_eq!(rules, vec![RULE_TAINT, RULE_TAINT], "{:?}", report.findings);
         assert!(report.findings.iter().any(|f| f.message.contains("thread::current")));

@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::parser::{Event, FnDef, ParsedFile};
+use crate::parser::{Event, FnDef, SourceFile};
 
 /// A function node in the workspace call graph.
 #[derive(Debug)]
@@ -167,17 +167,17 @@ fn mod_hints(path: &str, def: &FnDef) -> BTreeSet<String> {
 }
 
 impl CallGraph {
-    /// Builds the graph from `(workspace-relative path, parsed file)` pairs.
+    /// Builds the graph from parsed library files.
     /// The input is sorted by path internally, so the result — ids, edges,
     /// witnesses — is invariant under input order.
     #[must_use]
-    pub fn build(files: &[(String, ParsedFile)]) -> CallGraph {
+    pub fn build(files: &[SourceFile]) -> CallGraph {
         let mut order: Vec<usize> = (0..files.len()).collect();
-        order.sort_by(|&a, &b| files[a].0.cmp(&files[b].0));
+        order.sort_by(|&a, &b| files[a].path.cmp(&files[b].path));
 
         let mut fns: Vec<FnNode> = Vec::new();
         for &fi in &order {
-            let (path, parsed) = &files[fi];
+            let SourceFile { path, parsed, .. } = &files[fi];
             for def in &parsed.fns {
                 fns.push(FnNode {
                     file: path.clone(),
@@ -196,7 +196,7 @@ impl CallGraph {
 
         // Per-file import maps, keyed by path.
         let imports: BTreeMap<String, BTreeMap<String, Vec<String>>> =
-            files.iter().map(|(p, f)| (p.clone(), f.imports.clone())).collect();
+            files.iter().map(|f| (f.path.clone(), f.parsed.imports.clone())).collect();
 
         let mut graph = CallGraph { fns, edges: 0, name_index, hints, imports };
 
@@ -338,11 +338,8 @@ impl CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
-
     fn graph_of(files: &[(&str, &str)]) -> CallGraph {
-        let parsed: Vec<(String, ParsedFile)> =
-            files.iter().map(|(p, s)| (p.to_string(), parse(s))).collect();
+        let parsed: Vec<SourceFile> = files.iter().map(|(p, s)| SourceFile::new(*p, *s)).collect();
         CallGraph::build(&parsed)
     }
 

@@ -11,12 +11,15 @@
 //! Behavior in 802.11 WLANs") detects protocol deviations mechanically
 //! rather than by inspection.
 //!
-//! It is dependency-free by design (no `syn` in the vendored tree): a
-//! hand-rolled token-level lexer ([`lexer`]) feeds the rule catalog
-//! ([`rules`]), a minimal TOML subset parser ([`toml`]) reads both crate
-//! manifests ([`manifest`]) and the `lint-allow.toml` waiver file
-//! ([`waivers`]), and [`report`] renders a human table plus deterministic
-//! `artifacts/LINT.json` bytes.
+//! It is dependency-free by design (no `syn` in the vendored tree). Each
+//! library file is lexed ([`lexer`]) and walked once, by [`parser`]: that
+//! one walk yields the token stream with its test regions marked, which
+//! the token rules ([`rules`]) scan for sites, and the fn definitions and
+//! call events that the call-graph analyses ([`graph`], [`analysis`])
+//! check for paths. A minimal TOML subset parser ([`toml`]) reads the
+//! crate manifests ([`manifest`]) and the `lint-allow.toml` waiver file
+//! ([`waivers`]); [`report`] renders both artifacts, `artifacts/LINT.json`
+//! and `artifacts/ANALYSIS.json`, as deterministic bytes.
 //!
 //! # Rule catalog
 //!
@@ -31,11 +34,16 @@
 //! | `manifest/workspace-field` | crates inherit `version`/`edition`/`license` from the workspace |
 //! | `manifest/external-dependency` | only workspace-inherited or in-tree path dependencies |
 //! | `waiver/stale`, `waiver/invalid` | the waiver file itself must stay honest |
+//! | `analysis/determinism-taint` | no nondeterminism source reachable from an artifact-writing root |
+//! | `analysis/panic-path` | no unmarked panic site reachable from a public library API |
+//! | `analysis/lock-order` | no inconsistent lock-acquisition order (potential deadlock) |
+//!
+//! The first nine rules land in `LINT.json`, the three `analysis/*` rules
+//! (whose findings carry a root → … → sink witness) in `ANALYSIS.json`.
 //!
 //! # Usage
 //!
 //! ```text
-//! cargo run -p macgame-lint             # lint the enclosing workspace
 //! cargo run --release -p macgame-bench --bin repro -- lint
 //! ```
 //!
@@ -59,20 +67,31 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use analysis::{AnalysisConfig, AnalysisReport};
-pub use report::LintReport;
-pub use rules::{FileContext, FileKind, Finding};
+pub use analysis::RootSpec;
+pub use parser::SourceFile;
+pub use report::Report;
+pub use rules::Finding;
 pub use waivers::WAIVER_FILE;
 
-/// Configuration for one lint run.
+/// Schema id of `LINT.json`.
+pub const LINT_SCHEMA: &str = "macgame-lint/1";
+
+/// Configuration for one lint run: the token rules' allowlists and the
+/// call-graph analyses' roots.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
     /// Exact workspace-relative paths allowed to read the wall clock
-    /// (the telemetry `timings` quarantine).
+    /// (the telemetry `timings` quarantine), for the token rule and the
+    /// taint pass alike.
     pub wall_clock_allow: Vec<String>,
     /// Workspace-relative path prefixes allowed to use `Ordering::Relaxed`
     /// (the telemetry fast-path allowlist).
     pub relaxed_allow: Vec<String>,
+    /// Artifact-writing roots for the determinism-taint pass.
+    pub taint_roots: Vec<RootSpec>,
+    /// Path prefixes whose `pub fn`s count as public library API for the
+    /// panic-path pass.
+    pub panic_api_prefixes: Vec<String>,
 }
 
 impl Default for LintConfig {
@@ -85,6 +104,16 @@ impl Default for LintConfig {
             // The telemetry fast path is the one sanctioned Relaxed user:
             // its counters merge by commutative sums, never by read order.
             relaxed_allow: vec!["crates/telemetry/src/".to_string()],
+            // Every fn in the repro driver writes or formats artifacts;
+            // serve's reply encoders and the conformance evaluator are the
+            // other two byte-stability contracts (DESIGN.md §10, §15).
+            taint_roots: vec![
+                RootSpec::file("crates/bench/src/bin/repro.rs"),
+                RootSpec::fn_in("crates/serve/src/", "handle_batch"),
+                RootSpec::fn_in("crates/serve/src/", "handle_payload"),
+                RootSpec::fn_in("crates/conformance/src/", "run_conformance"),
+            ],
+            panic_api_prefixes: vec!["crates/".to_string()],
         }
     }
 }
@@ -156,148 +185,80 @@ fn rel_str(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Lists the immediate subdirectories of `dir` that contain a
-/// `Cargo.toml`, sorted by name for deterministic traversal.
-fn package_dirs(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
-    let mut out = Vec::new();
+/// The entries of `dir`, sorted by path for deterministic traversal; none
+/// when `dir` is not a directory.
+fn sorted_entries(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
     if !dir.is_dir() {
-        return Ok(out);
+        return Ok(Vec::new());
     }
-    let entries =
-        fs::read_dir(dir).map_err(|source| LintError::Io { path: dir.to_path_buf(), source })?;
-    for entry in entries {
-        let entry = entry.map_err(|source| LintError::Io { path: dir.to_path_buf(), source })?;
-        let path = entry.path();
-        if path.is_dir() && path.join("Cargo.toml").is_file() {
-            out.push(path);
-        }
+    let io = |source| LintError::Io { path: dir.to_path_buf(), source };
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir).map_err(io)? {
+        out.push(entry.map_err(io)?.path());
     }
     out.sort();
     Ok(out)
 }
 
+fn is_rust(path: &Path) -> bool {
+    path.extension().is_some_and(|e| e == "rs")
+}
+
 /// Recursively collects `*.rs` files under `dir`, sorted.
 fn rust_files_recursive(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {
-    if !dir.is_dir() {
-        return Ok(());
-    }
-    let entries =
-        fs::read_dir(dir).map_err(|source| LintError::Io { path: dir.to_path_buf(), source })?;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|source| LintError::Io { path: dir.to_path_buf(), source })?;
-        paths.push(entry.path());
-    }
-    paths.sort();
-    for path in paths {
+    for path in sorted_entries(dir)? {
         if path.is_dir() {
             rust_files_recursive(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
+        } else if is_rust(&path) {
             out.push(path);
         }
     }
     Ok(())
 }
 
-/// Collects the *compiled* top-level `*.rs` files of `dir` (integration
-/// tests, benches, examples): Cargo only builds direct children, so files
-/// in subdirectories — e.g. lint rule fixtures under `tests/fixtures/` —
-/// are data, not code, and are not scanned.
-fn rust_files_top_level(dir: &Path) -> Result<Vec<PathBuf>, LintError> {
-    let mut out = Vec::new();
-    if !dir.is_dir() {
-        return Ok(out);
-    }
-    let entries =
-        fs::read_dir(dir).map_err(|source| LintError::Io { path: dir.to_path_buf(), source })?;
-    for entry in entries {
-        let entry = entry.map_err(|source| LintError::Io { path: dir.to_path_buf(), source })?;
-        let path = entry.path();
-        if path.is_file() && path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    out.sort();
-    Ok(out)
-}
-
-/// Combined outcome of the token lint and the call-graph analyses over
-/// one workspace, with waivers applied across the union (an
-/// `analysis/*` waiver is not "stale" to the token pass and vice versa).
+/// The outcome of one lint run over a workspace, with waivers applied
+/// across both reports (an `analysis/*` waiver is not "stale" to the
+/// token rules and vice versa).
 #[derive(Debug)]
 pub struct WorkspaceReport {
-    /// Token-level findings (`LINT.json`), including waiver-file defects.
-    pub lint: LintReport,
+    /// Token-rule, manifest and waiver-file findings (`LINT.json`).
+    pub lint: Report,
     /// Call-graph reachability findings (`ANALYSIS.json`).
-    pub analysis: AnalysisReport,
+    pub analysis: Report,
 }
 
 impl WorkspaceReport {
-    /// Whether both passes are clean (every finding waived).
+    /// Whether both reports are clean (every finding waived).
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.lint.is_clean() && self.analysis.is_clean()
     }
 
-    /// Total unwaived findings across both passes.
+    /// Total unwaived findings across both reports.
     #[must_use]
     pub fn unwaived_count(&self) -> usize {
         self.lint.unwaived().len() + self.analysis.unwaived().len()
     }
 }
 
-/// Lints the workspace rooted at `root` with the default configuration.
+/// Lints the workspace rooted at `root`: the token rules and manifest
+/// checks, then the call-graph analyses over the same parsed library
+/// files. `lint-allow.toml` waivers apply to findings from either, and
+/// stale-waiver detection runs once over the union.
 ///
 /// # Errors
 ///
 /// Returns [`LintError`] on filesystem failures or when `root` is not a
 /// workspace root. Findings — including malformed waivers — are *not*
-/// errors; they are reported in the [`LintReport`].
-pub fn run_lint(root: &Path) -> Result<LintReport, LintError> {
-    run_lint_with(root, &LintConfig::default())
-}
-
-/// Lints the workspace rooted at `root` with an explicit configuration.
-/// The call-graph analyses still run (waiver staleness is judged over the
-/// union); only the token-level report is returned.
-///
-/// # Errors
-///
-/// See [`run_lint`].
-pub fn run_lint_with(root: &Path, config: &LintConfig) -> Result<LintReport, LintError> {
-    run_workspace_with(root, config, &AnalysisConfig::default()).map(|w| w.lint)
-}
-
-/// Runs the token lint *and* the call-graph analyses with the default
-/// configurations.
-///
-/// # Errors
-///
-/// See [`run_lint`].
-pub fn run_workspace(root: &Path) -> Result<WorkspaceReport, LintError> {
-    run_workspace_with(root, &LintConfig::default(), &AnalysisConfig::default())
-}
-
-/// Runs the token lint and the call-graph analyses with explicit
-/// configurations. `lint-allow.toml` waivers apply to findings from
-/// either pass, and stale-waiver detection runs once over the union.
-///
-/// # Errors
-///
-/// See [`run_lint`].
-pub fn run_workspace_with(
-    root: &Path,
-    config: &LintConfig,
-    aconfig: &AnalysisConfig,
-) -> Result<WorkspaceReport, LintError> {
-    let root_manifest_path = root.join("Cargo.toml");
-    let root_manifest = read(&root_manifest_path)?;
+/// errors; they are reported in the [`WorkspaceReport`].
+pub fn run_workspace(root: &Path, config: &LintConfig) -> Result<WorkspaceReport, LintError> {
+    let root_manifest = read(&root.join("Cargo.toml"))?;
     if !toml::parse(&root_manifest).iter().any(|t| t.name == "workspace" && !t.is_array) {
         return Err(LintError::NotAWorkspace(root.to_path_buf()));
     }
 
     let mut findings: Vec<Finding> = Vec::new();
-    let mut analysis_sources: Vec<(String, String)> = Vec::new();
+    let mut library: Vec<SourceFile> = Vec::new();
     let mut files_scanned = 0usize;
     let mut manifests_checked = 0usize;
 
@@ -314,13 +275,15 @@ pub fn run_workspace_with(
     findings.extend(manifest::check_manifest("Cargo.toml", &root_manifest, false, true));
     manifests_checked += 1;
 
-    // Package set: the root package plus crates/* and vendor/*.
+    // Package set: the root package plus crates/* and vendor/*, each a
+    // subdirectory with a `Cargo.toml`.
     let mut packages: Vec<(PathBuf, bool)> = vec![(root.to_path_buf(), false)];
-    for dir in package_dirs(&root.join("crates"))? {
-        packages.push((dir, false));
-    }
-    for dir in package_dirs(&root.join("vendor"))? {
-        packages.push((dir, true));
+    for (sub, is_vendor) in [("crates", false), ("vendor", true)] {
+        for dir in sorted_entries(&root.join(sub))? {
+            if dir.is_dir() && dir.join("Cargo.toml").is_file() {
+                packages.push((dir, is_vendor));
+            }
+        }
     }
 
     for (pkg_dir, is_vendor) in &packages {
@@ -337,50 +300,34 @@ pub fn run_workspace_with(
             // crates, not the shims themselves.
             continue;
         }
-        // Library sources: everything under src/, recursively (bins included).
+        // Library sources: everything under src/, recursively (bins
+        // included), parsed once for the token rules and the call graph.
         let mut lib_files = Vec::new();
         rust_files_recursive(&pkg_dir.join("src"), &mut lib_files)?;
-        // Dev sources: compiled top-level tests/benches/examples files.
-        let mut dev_files = Vec::new();
-        for sub in ["tests", "benches", "examples"] {
-            dev_files.extend(rust_files_top_level(&pkg_dir.join(sub))?);
+        for path in lib_files {
+            let file = SourceFile::new(rel_str(root, &path), read(&path)?);
+            findings.extend(rules::check(&file, config));
+            library.push(file);
         }
-        for (files, kind) in [(lib_files, FileKind::Library), (dev_files, FileKind::Dev)] {
-            for file in files {
-                let rel = rel_str(root, &file);
-                let ctx = FileContext {
-                    rel_path: &rel,
-                    kind,
-                    wall_clock_allow: &config.wall_clock_allow,
-                    relaxed_allow: &config.relaxed_allow,
-                };
-                let source = read(&file)?;
-                findings.extend(rules::check_source(&ctx, &source));
-                files_scanned += 1;
-                // Library files of workspace crates also feed the call
-                // graph (dev files never ship, so they stay out of it).
-                if kind == FileKind::Library {
-                    analysis_sources.push((rel, source));
-                }
-            }
+        // Dev sources: the compiled top-level tests/benches/examples files
+        // (Cargo only builds direct children, so `tests/fixtures/` is data).
+        // Every code rule exempts them, so they are counted, never lexed.
+        for sub in ["tests", "benches", "examples"] {
+            let dev = sorted_entries(&pkg_dir.join(sub))?;
+            files_scanned += dev.iter().filter(|p| p.is_file() && is_rust(p)).count();
         }
     }
+    files_scanned += library.len();
 
-    // Call-graph analyses over the library sources.
-    let analyzed = analysis::analyze(&analysis_sources, aconfig);
-    findings.extend(analyzed.findings);
+    let mut analysis = analysis::analyze(&library, config);
+    findings.append(&mut analysis.findings);
 
-    // Waivers apply across the union so stale detection sees both passes.
+    // Waivers apply across the union so stale detection sees both passes;
+    // the partition keeps the analysis findings in their sorted order.
     waivers::apply_waivers(&mut findings, &waiver_set.waivers);
     let (analysis_findings, lint_findings): (Vec<Finding>, Vec<Finding>) =
         findings.into_iter().partition(|f| f.rule.starts_with("analysis/"));
-
-    let mut lint = LintReport { findings: lint_findings, files_scanned, manifests_checked };
-    lint.sort();
-    // Two hits of the same rule on one line (e.g. `HashMap::<_,_>::new()`
-    // naming the type twice) are one violation.
-    lint.findings.dedup_by(|a, b| a.rule == b.rule && a.path == b.path && a.line == b.line);
-    let mut analysis = AnalysisReport { findings: analysis_findings, stats: analyzed.stats };
-    analysis.sort();
-    Ok(WorkspaceReport { lint, analysis })
+    analysis.findings = analysis_findings;
+    let counters = vec![("files_scanned", files_scanned), ("manifests_checked", manifests_checked)];
+    Ok(WorkspaceReport { lint: Report::new(LINT_SCHEMA, counters, false, lint_findings), analysis })
 }

@@ -14,7 +14,14 @@
 //!   zero-argument flag), and macro invocations (`name!(…)`);
 //! * per-file `use` imports (leaf name → full path) so bare calls to
 //!   imported functions resolve across crates;
-//! * the `// PANIC-POLICY:` marker map, forwarded from the lexer.
+//! * the `// PANIC-POLICY:` marker map, forwarded from the lexer;
+//! * the token stream itself, each token flagged when it lies in a test
+//!   region or an attribute, which is all the token rules
+//!   ([`crate::rules`]) read.
+//!
+//! [`parse`] is the only pass over a file's tokens: the token rules and
+//! the call graph both read its [`ParsedFile`], so each library file is
+//! lexed once and there is one test-region tracker.
 //!
 //! What it deliberately does **not** do (see DESIGN.md §18): type
 //! inference, trait dispatch, macro expansion, or shadowing-aware name
@@ -131,6 +138,46 @@ pub struct ParsedFile {
     pub imports: BTreeMap<String, Vec<String>>,
     /// `line → rationale` for `// PANIC-POLICY:` markers (from the lexer).
     pub markers: BTreeMap<u32, String>,
+    /// The file's token stream, as lexed.
+    pub tokens: Vec<Token>,
+    /// Per token of `tokens`: whether no code rule inspects it, because it
+    /// lies in a test region (a `#[cfg(test)]` or `#[test]` item, or a file
+    /// with an inner `#![cfg(test)]`) or inside an attribute.
+    pub exempt: Vec<bool>,
+}
+
+/// One library file and its parse: what the token rules, the call graph
+/// and finding snippets read.
+#[derive(Debug)]
+pub struct SourceFile {
+    /// Workspace-relative path with `/` separators.
+    pub path: String,
+    /// The file's text.
+    pub source: String,
+    /// The one parse of `source`.
+    pub parsed: ParsedFile,
+}
+
+impl SourceFile {
+    /// Parses `source`, the file at workspace-relative `path`.
+    #[must_use]
+    pub fn new(path: impl Into<String>, source: impl Into<String>) -> SourceFile {
+        let source = source.into();
+        let parsed = parse(&source);
+        SourceFile { path: path.into(), source, parsed }
+    }
+
+    /// The trimmed source line at 1-based `line`, cut to 96 chars (with a
+    /// trailing `…`) so artifacts stay narrow and stable.
+    #[must_use]
+    pub fn snippet(&self, line: u32) -> String {
+        let text = self.source.lines().nth(line as usize - 1).map_or("", str::trim);
+        let mut s: String = text.chars().take(96).collect();
+        if text.chars().count() > 96 {
+            s.push('…');
+        }
+        s
+    }
 }
 
 /// Scope kinds the parser tracks while walking the token stream.
@@ -156,15 +203,24 @@ pub fn parse(source: &str) -> ParsedFile {
     let lexed = lex(source);
     let toks = &lexed.tokens;
     let n = toks.len();
-    let mut out = ParsedFile { markers: lexed.panic_markers.clone(), ..ParsedFile::default() };
+    let mut out = ParsedFile::default();
 
     // Scope stack entries: (scope, brace depth at which the scope closes).
     let mut scopes: Vec<(Scope, i64)> = Vec::new();
     let mut depth: i64 = 0;
-    // Test-region tracking (same discipline as `rules::check_source`).
+    // Test-region tracking: brace depths of open test bodies, a test
+    // attribute whose item has not started its body yet, and an inner
+    // `#![cfg(test)]`.
     let mut test_depths: Vec<i64> = Vec::new();
     let mut pending_test = false;
     let mut file_is_test = false;
+    // `<`/`(`/`[` nesting since the pending test attribute, so a `,` in
+    // `static M: LazyLock<HashMap<K, V>>` does not end the attributed item.
+    let mut pending_nest: i64 = 0;
+    // Exemption of the tokens the current step consumes: a step starts at
+    // `i` and its tokens share the state it began in.
+    let mut exempt: Vec<bool> = Vec::with_capacity(n);
+    let mut step_exempt = false;
     // Pending visibility for the next item.
     let mut pending_pub = false;
 
@@ -221,6 +277,8 @@ pub fn parse(source: &str) -> ParsedFile {
 
     let mut i = 0usize;
     while i < n {
+        exempt.resize(i, step_exempt);
+        step_exempt = file_is_test || pending_test || !test_depths.is_empty();
         match &toks[i].kind {
             // ---- attributes ------------------------------------------------
             TokenKind::Punct('#') => {
@@ -251,8 +309,10 @@ pub fn parse(source: &str) -> ParsedFile {
                             file_is_test = true;
                         } else {
                             pending_test = true;
+                            pending_nest = 0;
                         }
                     }
+                    step_exempt = true;
                     i = j;
                     continue;
                 }
@@ -277,13 +337,31 @@ pub fn parse(source: &str) -> ParsedFile {
                 }
                 depth -= 1;
                 pending_pub = false;
+                // A test attribute on a last field or variant ends here.
+                pending_test = false;
                 i += 1;
             }
-            TokenKind::Punct(';') | TokenKind::Punct(',') => {
-                // `,` also ends struct-field visibility (`pub a: usize,`),
-                // which must not leak onto the next item.
+            TokenKind::Punct(';') => {
                 pending_pub = false;
                 pending_test = false;
+                i += 1;
+            }
+            TokenKind::Punct(',') => {
+                // `,` also ends a struct field or enum variant, with its
+                // visibility and test attribute, neither of which may leak
+                // onto the next item.
+                pending_pub = false;
+                if pending_nest <= 0 {
+                    pending_test = false;
+                }
+                i += 1;
+            }
+            TokenKind::Punct('<' | '(' | '[') => {
+                pending_nest += 1;
+                i += 1;
+            }
+            TokenKind::Punct('>' | ')' | ']') => {
+                pending_nest -= 1;
                 i += 1;
             }
             TokenKind::Ident(word) => {
@@ -489,6 +567,10 @@ pub fn parse(source: &str) -> ParsedFile {
             }
         }
     }
+    exempt.resize(n, step_exempt);
+    out.exempt = exempt;
+    out.markers = lexed.panic_markers;
+    out.tokens = lexed.tokens;
     out
 }
 
@@ -830,6 +912,34 @@ mod tests {
                 ("top_level_test".to_string(), true),
             ]
         );
+    }
+
+    #[test]
+    fn test_attributes_end_with_their_field_or_variant() {
+        let src = "
+            struct S { a: u32, #[cfg(test)] b: u32 }
+            fn after_last_field() {}
+            enum E { A, #[cfg(test)] B(u32, u32), C }
+            fn after_variant() {}
+            #[cfg(test)]
+            static M: LazyLock<HashMap<u32, u32>> = LazyLock::new(HashMap::new);
+            fn after_static() {}
+        ";
+        let parsed = parse(src);
+        assert!(parsed.fns.iter().all(|f| !f.is_test), "{:?}", parsed.fns);
+        let exempt: Vec<&str> = parsed
+            .tokens
+            .iter()
+            .zip(&parsed.exempt)
+            .filter_map(|(t, e)| match &t.kind {
+                TokenKind::Ident(s) if *e => Some(s.as_str()),
+                _ => None,
+            })
+            .collect();
+        let mut expected = vec!["cfg", "test", "b", "u32", "cfg", "test", "B", "u32", "u32"];
+        expected.extend(["cfg", "test", "static", "M", "LazyLock", "HashMap", "u32", "u32"]);
+        expected.extend(["LazyLock", "new", "HashMap", "new"]);
+        assert_eq!(exempt, expected);
     }
 
     #[test]

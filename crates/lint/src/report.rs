@@ -1,31 +1,54 @@
-//! Report assembly: deterministic `LINT.json` bytes and the human table.
+//! Report assembly: deterministic `LINT.json` / `ANALYSIS.json` bytes and
+//! the rows of the human table.
 //!
-//! The JSON is hand-rolled (the crate is dependency-free) with sorted
-//! findings, sorted rule counts, and no timestamps or absolute paths, so
-//! two runs over the same tree produce byte-identical artifacts — the
-//! same contract the other `artifacts/*.json` files honor.
+//! Both artifacts are one [`Report`] type; they differ only in data — the
+//! schema name, the leading summary counters, and whether findings carry
+//! their call-path witness. The JSON is hand-rolled (the crate is
+//! dependency-free) with sorted findings, sorted rule counts, and no
+//! timestamps or absolute paths, so two runs over the same tree produce
+//! byte-identical artifacts — the same contract the other
+//! `artifacts/*.json` files honor.
 
 use std::collections::BTreeMap;
 
 use crate::rules::Finding;
 
-/// The outcome of linting a workspace.
+/// The findings of one pass over a workspace, with its summary counters.
 #[derive(Debug)]
-pub struct LintReport {
+pub struct Report {
+    /// Artifact schema id, e.g. `macgame-lint/1`.
+    pub schema: &'static str,
+    /// Pass-specific summary counters (`files_scanned`, `functions`, …), in
+    /// artifact order; the finding totals follow them in the JSON.
+    pub counters: Vec<(&'static str, usize)>,
+    /// Whether each JSON finding carries its `witness` path.
+    pub witnesses: bool,
     /// Every finding, waived or not, sorted by `(path, line, rule)`.
     pub findings: Vec<Finding>,
-    /// Number of source files scanned.
-    pub files_scanned: usize,
-    /// Number of manifests checked.
-    pub manifests_checked: usize,
 }
 
-impl LintReport {
-    /// Sorts findings into their canonical artifact order.
-    pub fn sort(&mut self) {
-        self.findings.sort_by(|a, b| {
+impl Report {
+    /// Builds a report with its findings in canonical artifact order. Two
+    /// hits of the same rule on one line (e.g. `HashMap::<_,_>::new()`
+    /// naming the type twice) are one violation; the first is kept.
+    #[must_use]
+    pub fn new(
+        schema: &'static str,
+        counters: Vec<(&'static str, usize)>,
+        witnesses: bool,
+        mut findings: Vec<Finding>,
+    ) -> Report {
+        findings.sort_by(|a, b| {
             (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule))
         });
+        findings.dedup_by(|a, b| a.rule == b.rule && a.path == b.path && a.line == b.line);
+        Report { schema, counters, witnesses, findings }
+    }
+
+    /// The summary counter `name`, if this report has one.
+    #[must_use]
+    pub fn counter(&self, name: &str) -> Option<usize> {
+        self.counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
     }
 
     /// Findings not covered by a waiver — the CI-failing set.
@@ -54,14 +77,15 @@ impl LintReport {
         counts
     }
 
-    /// Renders the deterministic `LINT.json` bytes.
+    /// Renders the deterministic artifact bytes.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"macgame-lint/1\",\n");
+        let mut out = String::with_capacity(8192);
+        out.push_str(&format!("{{\n  \"schema\": {},\n", json_string(self.schema)));
         out.push_str("  \"summary\": {\n");
-        out.push_str(&format!("    \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("    \"manifests_checked\": {},\n", self.manifests_checked));
+        for (name, value) in &self.counters {
+            out.push_str(&format!("    \"{name}\": {value},\n"));
+        }
         out.push_str(&format!("    \"findings\": {},\n", self.findings.len()));
         out.push_str(&format!(
             "    \"waived\": {},\n",
@@ -70,40 +94,21 @@ impl LintReport {
         out.push_str(&format!("    \"unwaived\": {},\n", self.unwaived().len()));
         out.push_str("    \"rules\": {");
         let counts = self.rule_counts();
-        let mut first = true;
-        for (rule, (total, waived)) in &counts {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n      {}: {{\"total\": {total}, \"waived\": {waived}}}",
-                json_string(rule)
-            ));
-        }
+        let rules: Vec<String> = counts
+            .iter()
+            .map(|(rule, (total, waived))| {
+                let rule = json_string(rule);
+                format!("\n      {rule}: {{\"total\": {total}, \"waived\": {waived}}}")
+            })
+            .collect();
+        out.push_str(&rules.join(","));
         if !counts.is_empty() {
             out.push_str("\n    ");
         }
         out.push_str("}\n  },\n");
         out.push_str("  \"findings\": [");
-        let mut first = true;
-        for f in &self.findings {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    {");
-            out.push_str(&format!("\"rule\": {}, ", json_string(f.rule)));
-            out.push_str(&format!("\"path\": {}, ", json_string(&f.path)));
-            out.push_str(&format!("\"line\": {}, ", f.line));
-            out.push_str(&format!("\"waived\": {}, ", f.waived));
-            match &f.reason {
-                Some(r) => out.push_str(&format!("\"reason\": {}, ", json_string(r))),
-                None => out.push_str("\"reason\": null, "),
-            }
-            out.push_str(&format!("\"message\": {}, ", json_string(&f.message)));
-            out.push_str(&format!("\"snippet\": {}}}", json_string(&f.snippet)));
-        }
+        let findings: Vec<String> = self.findings.iter().map(|f| self.finding_json(f)).collect();
+        out.push_str(&findings.join(","));
         if !self.findings.is_empty() {
             out.push_str("\n  ");
         }
@@ -111,9 +116,31 @@ impl LintReport {
         out
     }
 
+    /// One finding's JSON object, on its own line.
+    fn finding_json(&self, f: &Finding) -> String {
+        let reason = f.reason.as_deref().map_or_else(|| "null".to_string(), json_string);
+        let mut out = format!(
+            "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"waived\": {}, \
+             \"reason\": {reason}, \"message\": {}, \"snippet\": {}",
+            json_string(f.rule),
+            json_string(&f.path),
+            f.line,
+            f.waived,
+            json_string(&f.message),
+            json_string(&f.snippet),
+        );
+        if self.witnesses {
+            let steps: Vec<String> =
+                f.witness.iter().map(String::as_str).map(json_string).collect();
+            out.push_str(&format!(", \"witness\": [{}]", steps.join(", ")));
+        }
+        out.push('}');
+        out
+    }
+
     /// Rows for a `rule | location | status | detail` table: unwaived
     /// findings first (they are what the reader must act on), then waived
-    /// grants with their rationale.
+    /// grants with their rationale. Witness paths live in the JSON.
     #[must_use]
     pub fn table_rows(&self) -> Vec<Vec<String>> {
         let mut rows = Vec::new();
@@ -133,51 +160,6 @@ impl LintReport {
             }
         }
         rows
-    }
-
-    /// Renders the report as aligned plain text (used by the standalone
-    /// binary; `repro -- lint` uses its own table renderer on
-    /// [`Self::table_rows`]).
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        let headers = ["rule", "location", "status", "detail"];
-        let rows = self.table_rows();
-        let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-        for row in &rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.chars().count());
-            }
-        }
-        let mut out = String::new();
-        let render_row = |cells: &[&str], out: &mut String| {
-            for (i, (cell, w)) in cells.iter().zip(&widths).enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                out.push_str(cell);
-                for _ in cell.chars().count()..*w {
-                    out.push(' ');
-                }
-            }
-            while out.ends_with(' ') {
-                out.pop();
-            }
-            out.push('\n');
-        };
-        render_row(&headers, &mut out);
-        for row in &rows {
-            let cells: Vec<&str> = row.iter().map(String::as_str).collect();
-            render_row(&cells, &mut out);
-        }
-        out.push_str(&format!(
-            "\n{} file(s), {} manifest(s) scanned: {} finding(s), {} waived, {} unwaived\n",
-            self.files_scanned,
-            self.manifests_checked,
-            self.findings.len(),
-            self.findings.iter().filter(|f| f.waived).count(),
-            self.unwaived().len(),
-        ));
-        out
     }
 }
 
@@ -220,16 +202,16 @@ mod tests {
 
     #[test]
     fn json_is_sorted_and_stable() {
-        let mut report = LintReport {
-            findings: vec![
+        let report = Report::new(
+            "macgame-lint/1",
+            vec![("files_scanned", 3), ("manifests_checked", 1)],
+            false,
+            vec![
                 finding("b/rule", "z.rs", 9, false),
                 finding("a/rule", "a.rs", 3, true),
                 finding("a/rule", "a.rs", 1, false),
             ],
-            files_scanned: 3,
-            manifests_checked: 1,
-        };
-        report.sort();
+        );
         let one = report.to_json();
         let two = report.to_json();
         assert_eq!(one, two);
@@ -247,7 +229,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_clean_and_valid() {
-        let report = LintReport { findings: vec![], files_scanned: 0, manifests_checked: 0 };
+        let report = Report::new("macgame-lint/1", vec![], false, vec![]);
         assert!(report.is_clean());
         let json = report.to_json();
         assert!(json.contains("\"findings\": []"));
@@ -256,18 +238,40 @@ mod tests {
 
     #[test]
     fn table_lists_unwaived_first() {
-        let mut report = LintReport {
-            findings: vec![
-                finding("a/rule", "a.rs", 1, true),
-                finding("b/rule", "b.rs", 2, false),
-            ],
-            files_scanned: 2,
-            manifests_checked: 0,
-        };
-        report.sort();
+        let report = Report::new(
+            "macgame-lint/1",
+            vec![],
+            false,
+            vec![finding("a/rule", "a.rs", 1, true), finding("b/rule", "b.rs", 2, false)],
+        );
         let rows = report.table_rows();
         assert_eq!(rows[0][2], "FAIL");
         assert_eq!(rows[1][2], "allow");
         assert!(rows[1][3].starts_with("waived: "));
+    }
+
+    #[test]
+    fn witnesses_and_counters_are_data() {
+        let mut f = finding("a/rule", "a.rs", 1, false);
+        f.witness = vec!["root (a.rs:1)".to_string(), "sink (a.rs:1)".to_string()];
+        let lint = Report::new("s/1", vec![("files", 2)], false, vec![f.clone()]);
+        let analysis = Report::new("s/1", vec![("files", 2)], true, vec![f]);
+        assert!(!lint.to_json().contains("witness"));
+        assert!(analysis
+            .to_json()
+            .contains("\"witness\": [\"root (a.rs:1)\", \"sink (a.rs:1)\"]}"));
+        assert!(lint.to_json().contains("    \"files\": 2,\n    \"findings\": 1,"));
+        assert_eq!((lint.counter("files"), lint.counter("edges")), (Some(2), None));
+    }
+
+    #[test]
+    fn same_rule_twice_on_one_line_is_one_finding() {
+        let report = Report::new(
+            "s/1",
+            vec![],
+            false,
+            vec![finding("a/rule", "a.rs", 1, false), finding("a/rule", "a.rs", 1, false)],
+        );
+        assert_eq!(report.findings.len(), 1);
     }
 }

@@ -7,10 +7,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use macgame_lint::analysis::{
-    analyze, AnalysisConfig, RootSpec, RULE_LOCK_ORDER, RULE_PANIC_PATH, RULE_TAINT,
-};
-use macgame_lint::{run_workspace, run_workspace_with, LintConfig};
+use macgame_lint::analysis::{analyze, RootSpec, RULE_LOCK_ORDER, RULE_PANIC_PATH, RULE_TAINT};
+use macgame_lint::{run_workspace, LintConfig, Report, SourceFile};
 use proptest::prelude::*;
 
 fn real_root() -> PathBuf {
@@ -24,26 +22,25 @@ fn fixture_root(name: &str) -> PathBuf {
 /// The analysis config every fixture workspace is written against:
 /// `emit` fns are artifact roots, no wall-clock quarantine, all crates
 /// are public API.
-fn fixture_config() -> AnalysisConfig {
-    AnalysisConfig {
+fn fixture_config() -> LintConfig {
+    LintConfig {
         taint_roots: vec![RootSpec::fn_in("crates/", "emit")],
         wall_clock_allow: vec![],
         panic_api_prefixes: vec!["crates/".to_string()],
+        ..LintConfig::default()
     }
 }
 
-fn fixture_analysis(name: &str) -> macgame_lint::AnalysisReport {
-    run_workspace_with(&fixture_root(name), &LintConfig::default(), &fixture_config())
-        .unwrap()
-        .analysis
+fn fixture_analysis(name: &str) -> Report {
+    run_workspace(&fixture_root(name), &fixture_config()).unwrap().analysis
 }
 
 #[test]
 fn clean_fixture_reports_nothing() {
     let report = fixture_analysis("ws_clean");
     assert!(report.findings.is_empty(), "{:?}", report.findings);
-    assert_eq!(report.stats.taint_roots, 1, "emit must be rooted");
-    assert!(report.stats.functions >= 4);
+    assert_eq!(report.counter("taint_roots"), Some(1), "emit must be rooted");
+    assert!(report.counter("functions").unwrap() >= 4);
 }
 
 #[test]
@@ -94,12 +91,12 @@ fn lock_cycle_fixture_reports_one_cycle_with_both_edges() {
     assert!(f.message.contains("Pair::alpha"), "{}", f.message);
     assert!(f.message.contains("Pair::beta"), "{}", f.message);
     assert_eq!(f.witness.len(), 2, "one edge description per direction: {:?}", f.witness);
-    assert_eq!(report.stats.lock_sites, 4);
+    assert_eq!(report.counter("lock_sites"), Some(4));
 }
 
 #[test]
 fn real_workspace_is_analysis_clean_with_rationales_and_witnesses() {
-    let workspace = run_workspace(&real_root()).unwrap();
+    let workspace = run_workspace(&real_root(), &LintConfig::default()).unwrap();
     let unwaived: Vec<String> = workspace
         .analysis
         .unwaived()
@@ -130,17 +127,18 @@ fn real_workspace_is_analysis_clean_with_rationales_and_witnesses() {
         }
     }
     // The graph actually covered the workspace.
-    assert!(workspace.analysis.stats.functions > 500);
-    assert!(workspace.analysis.stats.edges > workspace.analysis.stats.functions);
-    assert!(workspace.analysis.stats.taint_roots > 10, "repro experiments are roots");
-    assert!(workspace.analysis.stats.lock_sites > 10, "sharded caches are audited");
+    let count = |name| workspace.analysis.counter(name).unwrap();
+    assert!(count("functions") > 500);
+    assert!(count("edges") > count("functions"));
+    assert!(count("taint_roots") > 10, "repro experiments are roots");
+    assert!(count("lock_sites") > 10, "sharded caches are audited");
 }
 
 #[test]
 fn analysis_artifact_is_byte_stable_across_runs() {
     let root = real_root();
-    let first = run_workspace(&root).unwrap().analysis.to_json();
-    let second = run_workspace(&root).unwrap().analysis.to_json();
+    let first = run_workspace(&root, &LintConfig::default()).unwrap().analysis.to_json();
+    let second = run_workspace(&root, &LintConfig::default()).unwrap().analysis.to_json();
     assert_eq!(first, second);
     assert!(first.contains("\"schema\": \"macgame-analysis/1\""));
     assert!(first.contains("\"witness\": ["));
@@ -182,13 +180,13 @@ fn analysis_waivers_apply_across_the_union_without_going_stale() {
          line = 2\nreason = \"fixture: callers validate Some\"\n",
     )
     .unwrap();
-    let workspace = run_workspace_with(
+    let workspace = run_workspace(
         &root,
-        &LintConfig::default(),
-        &AnalysisConfig {
+        &LintConfig {
             taint_roots: vec![],
             wall_clock_allow: vec![],
             panic_api_prefixes: vec!["crates/".to_string()],
+            ..LintConfig::default()
         },
     )
     .unwrap();
@@ -207,12 +205,12 @@ fn analysis_waivers_apply_across_the_union_without_going_stale() {
 
 /// All fixture sources combined into one synthetic workspace, with paths
 /// remapped so the four `app` crates stay distinct.
-fn combined_fixture_sources() -> Vec<(String, String)> {
+fn combined_fixture_sources() -> Vec<SourceFile> {
     let mut files = Vec::new();
     for ws in ["ws_clean", "ws_taint", "ws_panic", "ws_lockcycle"] {
         let lib = fixture_root(ws).join("crates/app/src/lib.rs");
         let source = fs::read_to_string(&lib).unwrap();
-        files.push((format!("crates/{ws}/src/lib.rs"), source));
+        files.push(SourceFile::new(format!("crates/{ws}/src/lib.rs"), source));
     }
     files
 }

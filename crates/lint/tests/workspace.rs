@@ -7,10 +7,15 @@ use std::path::{Path, PathBuf};
 
 use macgame_lint::rules::{RULE_PANIC, RULE_WALL_CLOCK};
 use macgame_lint::waivers::{parse_waivers, RULE_INVALID_WAIVER, RULE_STALE_WAIVER};
-use macgame_lint::{find_workspace_root, run_lint, WAIVER_FILE};
+use macgame_lint::{find_workspace_root, run_workspace, LintConfig, Report, WAIVER_FILE};
 
 fn real_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()
+}
+
+/// The `LINT.json` report of a default-config run over `root`.
+fn run_lint(root: &Path) -> Result<Report, macgame_lint::LintError> {
+    run_workspace(root, &LintConfig::default()).map(|w| w.lint)
 }
 
 #[test]
@@ -116,8 +121,9 @@ fn seeded_violations_surface_with_file_and_line() {
         .any(|f| f.rule == RULE_PANIC && f.path == "crates/demo/src/lib.rs" && f.line == 7));
     assert!(!report.is_clean());
     // Both locations are visible in the human table and the artifact.
-    let text = report.render_text();
-    assert!(text.contains("crates/demo/src/lib.rs:2"), "{text}");
+    let rows = report.table_rows();
+    let row = rows.iter().find(|r| r[1] == "crates/demo/src/lib.rs:2");
+    assert!(row.is_some_and(|r| r[2] == "FAIL"), "{rows:?}");
     assert!(report.to_json().contains("\"line\": 7"));
 }
 

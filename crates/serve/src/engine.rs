@@ -244,6 +244,7 @@ impl Engine {
             Ok(batch) => batch,
             Err(message) => {
                 telemetry::counter("serve.errors", 1);
+                let message = bounded_message(message);
                 let error = ErrorReply { kind: ErrorKind::MalformedJson, message };
                 return emit(&encode_reply(&Reply::Error { id: None, error }));
             }
@@ -313,6 +314,25 @@ impl Engine {
             })
             .collect()
     }
+}
+
+/// Longest parse-error message a `MalformedJson` reply echoes, in bytes.
+/// The parser quotes the offending token, so an unbounded echo of a
+/// frame-sized token would make a reply too large to frame.
+const MAX_ERROR_MESSAGE: usize = 256;
+
+/// Cuts `message` to at most [`MAX_ERROR_MESSAGE`] bytes at a char
+/// boundary, marking a cut with `…`.
+fn bounded_message(mut message: String) -> String {
+    if message.len() > MAX_ERROR_MESSAGE {
+        let mut cut = MAX_ERROR_MESSAGE;
+        while !message.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        message.truncate(cut);
+        message.push('…');
+    }
+    message
 }
 
 /// Serializes one reply payload. Infallible by construction: every reply

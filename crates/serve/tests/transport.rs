@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use macgame_core::queries::Query;
 use macgame_dcf::AccessMode;
-use macgame_serve::frame::write_frame;
+use macgame_serve::frame::{write_frame, MAX_FRAME_LEN};
 use macgame_serve::{serve_stream, serve_tcp, Engine, EngineConfig, ErrorKind, Reply, ServeHarness};
 
 /// Binds an ephemeral localhost port and serves it from a detached
@@ -102,6 +102,29 @@ fn a_garbage_frame_does_not_kill_the_connection() {
     stream.write_all(&ServeHarness::encode_batch(&queries).unwrap()).unwrap();
     let replies = read_replies(&mut stream, queries.len());
     assert!(replies.iter().all(Reply::is_ok));
+}
+
+#[test]
+fn a_frame_sized_malformed_token_is_answered_and_the_next_batch_too() {
+    // The parser echoes a bad number token in its error message; a
+    // 1 MiB token must not make the reply too large to frame.
+    let mut token = vec![b'0'; MAX_FRAME_LEN];
+    token[0] = b'-';
+    token[MAX_FRAME_LEN - 1] = b'e';
+    let engine = Engine::new(EngineConfig::default()).unwrap();
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &token).unwrap();
+    wire.extend_from_slice(&ServeHarness::encode_batch(&queries()).unwrap());
+    let mut out = Vec::new();
+    serve_stream(&engine, &mut Cursor::new(wire), &mut out).unwrap();
+    let replies = ServeHarness::decode_replies(&out).unwrap();
+    assert_eq!(replies.len(), 1 + queries().len());
+    let Reply::Error { id: None, error } = &replies[0] else {
+        panic!("expected a null-id error reply, got {:?}", replies[0]);
+    };
+    assert_eq!(error.kind, ErrorKind::MalformedJson);
+    assert!(error.message.len() < 1024, "{} bytes echoed", error.message.len());
+    assert!(replies[1..].iter().all(Reply::is_ok));
 }
 
 #[test]

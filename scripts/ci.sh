@@ -14,6 +14,9 @@ cargo test -q
 echo "==> cargo test -q --release --workspace"
 cargo test -q --release --workspace
 
+echo "==> determinism suite on the serial path (MACGAME_THREADS=1)"
+MACGAME_THREADS=1 cargo test -q --release -p macgame-core --test determinism
+
 echo "==> served end to end over stdio (golden reply stream at MACGAME_THREADS=1 and 2)"
 cargo build --release -p macgame-serve --bin served
 for threads in 1 2; do
